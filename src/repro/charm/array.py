@@ -54,7 +54,7 @@ class ElementProxy:
         array, index = self._array, self._index
 
         def _send(*args: Any) -> None:
-            array.rt.send(array, index, method, args)
+            array.rt._send_canonical(array, index, method, args)
 
         _send.__name__ = f"send_{method}"
         return _send
@@ -112,10 +112,18 @@ class ChareArray:
 
         self.elements: Dict[Tuple[int, ...], Chare] = {}
         self.local_elements: Dict[int, List[Tuple[int, ...]]] = {}
+        #: element index -> home PE rank, resolved once here: an
+        #: element never migrates, so no send consults the mapping.
+        self._pe_by_index: Dict[Tuple[int, ...], int] = {}
+        #: element index -> the same index (the stored plain-int
+        #: tuple).  Any key that compares equal — numpy ints, bools,
+        #: integral floats — finds the canonical form in one lookup.
+        self._canonical: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         n_pes = rt.n_pes
         kwargs = ctor_kwargs or {}
-        for index in itertools.product(*(range(d) for d in self.dims)):
-            pe_rank = self.mapping.pe_for(index, self.dims, n_pes)
+        indices = itertools.product(*(range(d) for d in self.dims))
+        for index, pe_rank in zip(indices, self.mapping.pe_table(self.dims, n_pes),
+                                  strict=True):
             if not (0 <= pe_rank < n_pes):
                 raise MappingError(f"map sent {index} to PE {pe_rank}")
             pe = rt.pes[pe_rank]
@@ -123,6 +131,8 @@ class ChareArray:
             elem._bind(rt, self, index, pe)
             elem.__init__(*ctor_args, **kwargs)
             self.elements[index] = elem
+            self._pe_by_index[index] = pe_rank
+            self._canonical[index] = index
             self.local_elements.setdefault(pe_rank, []).append(index)
         #: sorted PE ranks hosting at least one element — the node set
         #: for this array's reduction / broadcast spanning tree.
@@ -134,13 +144,25 @@ class ChareArray:
     @property
     def size(self) -> int:
         """Number of elements/members."""
-        return int(np.prod(self.dims))
+        return len(self.elements)
 
     def normalize_index(self, index) -> Tuple[int, ...]:
-        """Canonical tuple form of an element index (bounds-checked)."""
+        """Canonical tuple form of an element index (bounds-checked).
+
+        An index equal to an element's stored tuple resolves in one
+        dict lookup; anything else (bare ints, lists, unhashable or
+        out-of-range indices) takes the general path, which raises
+        :class:`MappingError` for indices outside the array.
+        """
+        try:
+            return self._canonical[index]
+        except (KeyError, TypeError):
+            pass
         idx = normalize(index)
-        linear_index(idx, self.dims)  # bounds check
-        return idx
+        canonical = self._canonical.get(idx)
+        if canonical is None:
+            linear_index(idx, self.dims)  # raises: out of range / arity
+        return canonical
 
     def element(self, index) -> Chare:
         """The chare object at an index (host-side introspection)."""
@@ -148,7 +170,7 @@ class ChareArray:
 
     def pe_of(self, index) -> int:
         """Home PE rank of an element index."""
-        return self.mapping.pe_for(self.normalize_index(index), self.dims, self.rt.n_pes)
+        return self._pe_by_index[self.normalize_index(index)]
 
     def local_count(self, pe_rank: int) -> int:
         """Number of members hosted on a PE."""

@@ -8,7 +8,9 @@ ratio (chares per PE) of 8 for the stencil runs.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+import itertools
+import math
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -32,6 +34,17 @@ class Mapping:
         """Home PE for an element index under this mapping."""
         raise NotImplementedError
 
+    def pe_table(self, dims: Tuple[int, ...], n_pes: int) -> List[int]:
+        """Home PE of every element, in row-major index order.
+
+        Called once when an array is created; the array keeps the
+        result, so no message ever consults the mapping again.  The
+        default asks :meth:`pe_for` per index; linear maps override it
+        with a closed form that computes the element count once.
+        """
+        return [self.pe_for(index, dims, n_pes)
+                for index in itertools.product(*(range(d) for d in dims))]
+
 
 class BlockMap(Mapping):
     """Contiguous blocks of linearized indices per PE (Charm++ default).
@@ -46,6 +59,11 @@ class BlockMap(Mapping):
         total = int(np.prod(dims))
         return linear_index(index, dims) * n_pes // total
 
+    def pe_table(self, dims, n_pes):
+        """Home PE of every element, in row-major index order."""
+        total = math.prod(dims)
+        return [lin * n_pes // total for lin in range(total)]
+
 
 class RoundRobinMap(Mapping):
     """Linear index modulo PE count — maximal scatter."""
@@ -53,6 +71,10 @@ class RoundRobinMap(Mapping):
     def pe_for(self, index, dims, n_pes):
         """Home PE for an element index under this mapping."""
         return linear_index(index, dims) % n_pes
+
+    def pe_table(self, dims, n_pes):
+        """Home PE of every element, in row-major index order."""
+        return [lin % n_pes for lin in range(math.prod(dims))]
 
 
 class CustomMap(Mapping):

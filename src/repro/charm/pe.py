@@ -60,6 +60,12 @@ class PE(Entity):
         self.direct_q: Deque[DirectItem] = deque()
         #: CkDirect polling queue: insertion-ordered handles (IB path).
         self.pollq: Dict[int, object] = {}
+        #: True when a handle may have become detectable since the last
+        #: scan of ``pollq`` (a put landed, or an already-landed handle
+        #: was re-armed).  While False no queued handle has arrived, so
+        #: the host-side scan is skipped; the simulated sweep cost is
+        #: charged regardless.
+        self._poll_dirty = False
         self.busy_until = 0.0
         self.busy_time = 0.0  # total occupied simulated time
         self._loop_scheduled = False
@@ -111,6 +117,7 @@ class PE(Entity):
         """Insert a CkDirect handle into the polling queue."""
         self.pollq[handle.hid] = handle
         if handle.arrived:  # data landed before the handle was re-armed
+            self._poll_dirty = True
             self.kick()
 
     def poll_remove(self, handle) -> None:
@@ -119,6 +126,7 @@ class PE(Entity):
 
     def notify_arrival(self) -> None:
         """A put completed into one of this PE's buffers; wake to poll."""
+        self._poll_dirty = True
         self.kick()
 
     # ------------------------------------------------------------------
@@ -139,11 +147,12 @@ class PE(Entity):
             self.busy_time,
             self._loop_scheduled,
             self._cursor,
+            self._poll_dirty,
         )
 
     def tw_restore(self, snap: tuple) -> None:
         (q, iq, direct, pollq, self.busy_until, self.busy_time,
-         self._loop_scheduled, self._cursor) = snap
+         self._loop_scheduled, self._cursor, self._poll_dirty) = snap
         self.queue.tw_restore(q)
         self.internal_queue.tw_restore(iq)
         self.direct_q.clear()
@@ -164,7 +173,12 @@ class PE(Entity):
         self.sim.at(max(self.now, self.busy_until), self._iterate)
 
     def _has_detectable(self) -> bool:
-        return any(h.arrived for h in self.pollq.values())
+        if not self._poll_dirty:
+            return False
+        if any(h.arrived for h in self.pollq.values()):
+            return True
+        self._poll_dirty = False
+        return False
 
     def _iterate(self) -> None:
         self._loop_scheduled = False
@@ -223,6 +237,11 @@ class PE(Entity):
                     t0, self._cursor, args={"occupancy": len(self.pollq)})
         self.rt.trace.count("pe.poll_sweeps")
         self.rt.trace.sample("pe.pollq_occupancy", len(self.pollq))
+        if not self._poll_dirty:
+            return
+        # Cleared before the callbacks run: one that re-arms an
+        # already-landed handle sets it again for the next sweep.
+        self._poll_dirty = False
         arrived = [h for h in self.pollq.values() if h.arrived]
         for handle in arrived:
             del self.pollq[handle.hid]

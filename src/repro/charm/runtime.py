@@ -17,7 +17,7 @@ Typical driver::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan, ProcFaultPlan, ReliabilityParams
@@ -216,6 +216,11 @@ class Runtime:
         self._next_array_id = 1
         self.reductions = ReductionManager(self)
         self._pe_stack: List[PE] = []
+        #: observer of application sends (``None`` = off): called as
+        #: ``fn(array, index, method, args)`` for every non-internal
+        #: send issued from a PE context, before the runtime wraps the
+        #: arguments.  :class:`repro.ckdirect.ext.ChannelAdvisor` sets it.
+        self.send_observer: Optional[Callable[..., None]] = None
         #: the internal agent array: one element per PE, identity-mapped.
         self.agents = self.create_array(
             _PEAgent, dims=(n_pes,), mapping=CustomMap(lambda idx, dims, n: idx[0]),
@@ -327,20 +332,44 @@ class Runtime:
         injection at the current simulated time, free of charge — the
         bootstrap path.
         """
-        idx = array.normalize_index(index)
+        self._send_canonical(array, array.normalize_index(index), method, args,
+                             internal, nbytes_override)
+
+    def _send_canonical(
+        self,
+        array: ChareArray,
+        idx: Tuple[int, ...],
+        method: str,
+        args: tuple = (),
+        internal: bool = False,
+        nbytes_override: Optional[int] = None,
+    ) -> None:
+        """:meth:`send` for an index already in canonical form.
+
+        Element proxies hold canonical indices and enter here directly,
+        so a proxy send does no index work; the destination PE comes
+        from the table the array built at creation.
+        """
+        stack = self._pe_stack
+        src = stack[-1] if stack else None
+        if self.send_observer is not None and src is not None and not internal:
+            self.send_observer(array, idx, method, args)
         args = wrap_args(args)
         nbytes = nbytes_override if nbytes_override is not None else payload_bytes(args)
-        dst_rank = array.pe_of(idx)
-        src = self.current_pe
+        dst_rank = array._pe_by_index[idx]
         charm = self.machine.charm
 
         if src is not None:
+            marshalled = []
             for a in args:
-                if isinstance(a, Payload) and a.pack and a.nbytes:
-                    src.charge(charm.copy_base + a.nbytes * charm.copy_per_byte)
-                    self.trace.count("charm.pack_copies")
+                if isinstance(a, Payload):
+                    if a.pack and a.nbytes:
+                        src.charge(charm.copy_base + a.nbytes * charm.copy_per_byte)
+                        self.trace.count("charm.pack_copies")
+                    a = a.marshalled()
+                marshalled.append(a)
             src.charge(charm.send_overhead)
-            args = tuple(a.marshalled() if isinstance(a, Payload) else a for a in args)
+            args = tuple(marshalled)
             start = src.cursor
             src_rank: Optional[int] = src.rank
         else:

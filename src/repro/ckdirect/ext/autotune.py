@@ -19,8 +19,9 @@ traffic and finds the flows a CkDirect channel would pay for:
   the number of iterations needed to amortize the one-time channel
   setup.
 
-Attach with :meth:`ChannelAdvisor.attach`; it wraps ``Runtime.send``
-non-invasively, so applications run unmodified while being profiled.
+Attach with :meth:`ChannelAdvisor.attach`; it occupies the runtime's
+``send_observer`` slot, so applications run unmodified while being
+profiled (proxy, callback and broadcast sends alike).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...charm.runtime import Runtime
 from ...network.infiniband import InfinibandFabric
+from ..handle import CkDirectError
 
 FlowKey = Tuple[int, Tuple[int, ...], Tuple[int, ...], str]  # array, src, dst, method
 
@@ -92,8 +94,6 @@ class ChannelAdvisor:
         self.min_repeats = min_repeats
         self.min_bytes = min_bytes
         self.flows: Dict[FlowKey, FlowStats] = {}
-        self._orig_send = None
-        self._sender_ctx: List = []
 
     # ------------------------------------------------------------------
     # Attachment
@@ -101,26 +101,16 @@ class ChannelAdvisor:
 
     def attach(self) -> "ChannelAdvisor":
         """Start observing (idempotent)."""
-        if self._orig_send is not None:
-            return self
-        rt, advisor = self.rt, self
-        self._orig_send = rt.send
-
-        def observing_send(array, index, method, args=(), internal=False,
-                           nbytes_override=None):
-            if not internal and rt.current_pe is not None:
-                advisor._record(array, index, method, args)
-            return advisor._orig_send(array, index, method, args,
-                                      internal, nbytes_override)
-
-        rt.send = observing_send
+        observer = self.rt.send_observer
+        if observer is not None and observer != self._record:
+            raise CkDirectError("another send observer is already attached")
+        self.rt.send_observer = self._record
         return self
 
     def detach(self) -> None:
-        """Stop observing and restore Runtime.send."""
-        if self._orig_send is not None:
-            self.rt.send = self._orig_send
-            self._orig_send = None
+        """Stop observing (idempotent)."""
+        if self.rt.send_observer == self._record:
+            self.rt.send_observer = None
 
     def _record(self, array, index, method, args) -> None:
         from ...charm.message import Payload
@@ -136,7 +126,7 @@ class ChannelAdvisor:
         # PE — distinct senders on one PE to one target merge, which is
         # conservative (they would share a channel's amortization).
         src = (self.rt.current_pe.rank,)
-        key = (array.id, src, array.normalize_index(index), method)
+        key = (array.id, src, index, method)
         self.flows.setdefault(key, FlowStats()).observe(int(nbytes))
 
     # ------------------------------------------------------------------

@@ -212,7 +212,10 @@ class Fabric(Entity):
             raise FabricError(
                 f"transfer start {start!r} precedes simulated now {self.sim.now!r}"
             )
-        if self.topology.same_node(src, dst):
+        node_of = self.topology.node_of
+        src_node = node_of(src)
+        dst_node = node_of(dst)
+        if src_node == dst_node:
             delivery = start + pre + self._shm_alpha() + wire_bytes * self._shm_beta()
             self.trace.count("net.shm_transfers")
             if self.tracer is not None:
@@ -225,11 +228,10 @@ class Fabric(Entity):
 
         stream = wire_bytes * beta + lat_extra  # streaming (latency) part
         occ = wire_bytes * beta * self._occupancy_factor() + ser_extra
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
         tx_start = max(start + pre, self._tx_free[src_node])
         self._tx_free[src_node] = tx_start + occ
-        head_arrival = tx_start + alpha + self.topology.hops(src, dst) * self._hop_latency()
+        head_arrival = (tx_start + alpha + self.topology.node_hops(src_node, dst_node)
+                        * self._hop_latency())
         self.trace.count("net.transfers")
         self.trace.count("net.bytes", wire_bytes)
         if self._engine:

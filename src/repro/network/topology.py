@@ -38,6 +38,11 @@ class Topology:
             raise TopologyError("n_nodes and cores_per_node must be positive")
         self.n_nodes = int(n_nodes)
         self.cores_per_node = int(cores_per_node)
+        #: node of every PE rank, computed once (the fabric asks for
+        #: it on every transfer).
+        self._pe_node: Tuple[int, ...] = tuple(
+            pe // self.cores_per_node for pe in range(self.n_pes)
+        )
 
     @property
     def n_pes(self) -> int:
@@ -46,9 +51,10 @@ class Topology:
 
     def node_of(self, pe: int) -> int:
         """Node index hosting a PE rank."""
-        if not (0 <= pe < self.n_pes):
-            raise TopologyError(f"PE {pe} out of range [0, {self.n_pes})")
-        return pe // self.cores_per_node
+        table = self._pe_node
+        if 0 <= pe < len(table):
+            return table[pe]
+        raise TopologyError(f"PE {pe} out of range [0, {self.n_pes})")
 
     def same_node(self, a: int, b: int) -> bool:
         """True when both PEs share a node."""
@@ -56,6 +62,10 @@ class Topology:
 
     def hops(self, a: int, b: int) -> int:
         """Network hops between the nodes hosting PEs ``a`` and ``b``."""
+        return self.node_hops(self.node_of(a), self.node_of(b))
+
+    def node_hops(self, na: int, nb: int) -> int:
+        """Network hops between two (valid) node indices."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -74,9 +84,9 @@ class FatTree(Topology):
     about IB path length, only about protocol costs.
     """
 
-    def hops(self, a: int, b: int) -> int:
-        """Network hops between the nodes hosting two PEs."""
-        return 0 if self.same_node(a, b) else 1
+    def node_hops(self, na: int, nb: int) -> int:
+        """Network hops between two nodes."""
+        return 0 if na == nb else 1
 
 
 class Torus3D(Topology):
@@ -121,9 +131,8 @@ class Torus3D(Topology):
             raise TopologyError(f"node {node} out of range")
         return (node % X, (node // X) % Y, node // (X * Y))
 
-    def hops(self, a: int, b: int) -> int:
-        """Network hops between the nodes hosting two PEs."""
-        na, nb = self.node_of(a), self.node_of(b)
+    def node_hops(self, na: int, nb: int) -> int:
+        """Network hops between two nodes."""
         if na == nb:
             return 0
         total = 0
@@ -149,9 +158,8 @@ class GraphTopology(Topology):
         super().__init__(self.graph.number_of_nodes(), cores_per_node)
         self._dist_cache: dict[int, dict[int, int]] = {}
 
-    def hops(self, a: int, b: int) -> int:
-        """Network hops between the nodes hosting two PEs."""
-        na, nb = self.node_of(a), self.node_of(b)
+    def node_hops(self, na: int, nb: int) -> int:
+        """Network hops between two nodes."""
         if na == nb:
             return 0
         if na not in self._dist_cache:

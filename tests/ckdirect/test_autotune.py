@@ -5,6 +5,7 @@ import pytest
 
 from repro import ABE, SURVEYOR, Chare, Runtime
 from repro.charm import CustomMap, Payload
+from repro.ckdirect import CkDirectError
 from repro.ckdirect.ext import ChannelAdvisor, FlowStats
 
 from tests.ckdirect.channel_helpers import CROSS
@@ -114,6 +115,16 @@ def test_attach_is_idempotent_and_detachable():
     assert advisor.flows == {} or all(
         isinstance(v, FlowStats) for v in advisor.flows.values()
     )
+
+
+def test_observer_slot_is_exclusive_and_cleared():
+    rt = Runtime(ABE, n_pes=2)
+    assert rt.send_observer is None
+    advisor = ChannelAdvisor(rt).attach()
+    with pytest.raises(CkDirectError):
+        ChannelAdvisor(rt).attach()
+    advisor.detach()
+    assert rt.send_observer is None
 
 
 def test_report_renders():
