@@ -27,15 +27,42 @@ if TYPE_CHECKING:  # pragma: no cover
     from .section import ArraySection
 
 
+def _component(i) -> int:
+    """One index component as a plain int; integral floats are accepted,
+    anything else non-integral raises :class:`MappingError`."""
+    if isinstance(i, (int, np.integer, np.bool_)):
+        return int(i)
+    if isinstance(i, (float, np.floating)) and float(i).is_integer():
+        return int(i)
+    raise MappingError(f"index component {i!r} is not an integer")
+
+
 def normalize(index) -> Tuple[int, ...]:
-    """Accept ints, numpy ints, lists, tuples; always store tuples."""
-    if isinstance(index, (int, np.integer)):
-        return (int(index),)
-    return tuple(int(i) for i in index)
+    """Accept ints, numpy ints, integral floats, lists, tuples; always
+    store tuples of plain ints.  A non-integral component (``1.5``, a
+    string, ``None``) raises :class:`MappingError` instead of being
+    truncated or leaking a ``ValueError``."""
+    if isinstance(index, (int, float, np.number, np.bool_)):
+        return (_component(index),)
+    if isinstance(index, (str, bytes)):
+        raise MappingError(f"invalid element index {index!r}")
+    try:
+        return tuple(_component(i) for i in index)
+    except TypeError:
+        raise MappingError(f"invalid element index {index!r}") from None
 
 
 class ElementProxy:
-    """Callable handle on one array element."""
+    """Callable handle on one array element.
+
+    ``proxy.method(*args)`` sends ``method(*args)`` to the element.
+    Arrays hand out a subclass built for their chare class
+    (:func:`proxy_type`) with one sender method per public name of that
+    class, so a send is a plain method call: no ``__getattr__``
+    fallback and no closure per call.  Names the class does not define
+    (set on instances at run time) still resolve through
+    ``__getattr__``.
+    """
 
     __slots__ = ("_array", "_index")
 
@@ -51,16 +78,45 @@ class ElementProxy:
     def __getattr__(self, method: str):
         if method.startswith("_"):
             raise AttributeError(method)
-        array, index = self._array, self._index
-
-        def _send(*args: Any) -> None:
-            array.rt._send_canonical(array, index, method, args)
-
-        _send.__name__ = f"send_{method}"
-        return _send
+        return _sender(method).__get__(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ElementProxy array{self._array.id}{self._index}>"
+
+
+def _sender(method: str):
+    """An :class:`ElementProxy` method sending ``method`` to its element."""
+
+    def send(self: ElementProxy, *args: Any) -> None:
+        array = self._array
+        array.rt._send_canonical(array, self._index, method, args)
+
+    send.__name__ = send.__qualname__ = f"send_{method}"
+    return send
+
+
+def proxy_type(cls: Type[Chare]) -> Type[ElementProxy]:
+    """The :class:`ElementProxy` subclass for chare class ``cls``.
+
+    It defines one sender per public name of ``cls`` that does not
+    shadow an :class:`ElementProxy` attribute (``index`` stays the
+    index): exactly the names ``__getattr__`` would serve.  Built by
+    the class's first array and kept on the class itself (read from
+    ``cls.__dict__``, so a subclass never reuses its base's), which
+    ties its lifetime to the class and spares every later runtime the
+    rebuild.
+    """
+    ptype = cls.__dict__.get("_element_proxy_type")
+    if ptype is None:
+        reserved = set(dir(ElementProxy))
+        senders = {
+            name: _sender(name) for name in dir(cls)
+            if not name.startswith("_") and name not in reserved
+        }
+        ptype = type(f"{cls.__name__}Proxy", (ElementProxy,),
+                     {"__slots__": (), **senders})
+        cls._element_proxy_type = ptype
+    return ptype
 
 
 class ArrayProxy:
@@ -72,7 +128,8 @@ class ArrayProxy:
         self._array = array
 
     def __getitem__(self, index) -> ElementProxy:
-        return ElementProxy(self._array, self._array.normalize_index(index))
+        array = self._array
+        return array._proxy_type(array, array.normalize_index(index))
 
     def bcast(self, method: str, *args: Any) -> None:
         """Invoke an entry method on every member."""
@@ -109,6 +166,7 @@ class ChareArray:
         self.mapping = mapping if mapping is not None else BlockMap()
         self.internal = internal
         self.proxy = ArrayProxy(self)
+        self._proxy_type = proxy_type(cls)
 
         self.elements: Dict[Tuple[int, ...], Chare] = {}
         self.local_elements: Dict[int, List[Tuple[int, ...]]] = {}

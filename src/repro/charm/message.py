@@ -123,6 +123,7 @@ class Message:
         "src_pe",
         "send_time",
         "is_internal",
+        "unwrap",
         "trace_eid",
     )
 
@@ -136,6 +137,7 @@ class Message:
         src_pe: Optional[int],
         send_time: float,
         is_internal: bool = False,
+        unwrap: bool = False,
     ) -> None:
         self.id = next(_msg_ids)
         self.array_id = array_id
@@ -146,6 +148,10 @@ class Message:
         self.src_pe = src_pe
         self.send_time = send_time
         self.is_internal = is_internal
+        #: True when some argument is an auto-wrapped payload that
+        #: delivery must hand back as a bare ndarray; False lets the
+        #: runtime call the entry method with ``args`` as they are.
+        self.unwrap = unwrap
         #: latest timeline event on this message's causal chain (the
         #: send instant, then the enqueue instant) — None untraced.
         self.trace_eid = None

@@ -51,6 +51,8 @@ class PE(Entity):
         super().__init__(rt.sim, name=f"pe{rank}")
         self.rt = rt
         self.rank = rank
+        #: the runtime trace's counter dict, bound for the hot counters.
+        self._counters = rt.trace.counters
         self.queue = SchedulerQueue()
         #: RTS-internal messages (reduction partials, broadcast tree
         #: stages) run at high priority, as in the real runtime —
@@ -170,7 +172,10 @@ class PE(Entity):
         if self._loop_scheduled or self._executing:
             return
         self._loop_scheduled = True
-        self.sim.at(max(self.now, self.busy_until), self._iterate)
+        sim = self.sim
+        now = sim.now
+        busy = self.busy_until
+        sim.post(busy if busy > now else now, self._iterate)
 
     def _has_detectable(self) -> bool:
         if not self._poll_dirty:
@@ -182,8 +187,9 @@ class PE(Entity):
 
     def _iterate(self) -> None:
         self._loop_scheduled = False
-        self._cursor = max(self.now, self.busy_until)
-        start = self._cursor
+        now = self.sim.now
+        busy = self.busy_until
+        start = self._cursor = busy if busy > now else now
         tr = self.rt.tracer
         if tr is not None and self.busy_until > 0.0 and start > self.busy_until:
             # The PE sat idle between its last busy frontier and this
@@ -192,15 +198,21 @@ class PE(Entity):
                     self.busy_until, start)
         self._executing = True
         try:
-            self._drain_direct()
-            self._poll_sweep()
-            self._drain_internal()
-            self._process_one_message()
+            if self.direct_q:
+                self._drain_direct()
+            if self.pollq:
+                self._poll_sweep()
+            if self.internal_queue._q:
+                self._drain_internal()
+            queue = self.queue
+            if queue._q:
+                self._execute_message(queue.pop(), len(queue._q))
         finally:
             self._executing = False
             self.busy_until = self._cursor
             self.busy_time += self._cursor - start
-        if self.queue or self.internal_queue or self.direct_q or self._has_detectable():
+        if (self.queue._q or self.internal_queue._q or self.direct_q
+                or self._has_detectable()):
             self.kick()
 
     def _drain_direct(self) -> None:
@@ -223,7 +235,7 @@ class PE(Entity):
                     tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT,
                             "direct_callback", t0, self._cursor,
                             cause=item.trace_eid, eid=eid)
-            self.rt.trace.count("pe.direct_completions")
+            self._counters["pe.direct_completions"] += 1
 
     def _poll_sweep(self) -> None:
         if not self.pollq:
@@ -235,7 +247,7 @@ class PE(Entity):
         if tr is not None:
             tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT, "poll_sweep",
                     t0, self._cursor, args={"occupancy": len(self.pollq)})
-        self.rt.trace.count("pe.poll_sweeps")
+        self._counters["pe.poll_sweeps"] += 1
         self.rt.trace.sample("pe.pollq_occupancy", len(self.pollq))
         if not self._poll_dirty:
             return
@@ -261,18 +273,14 @@ class PE(Entity):
                     tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT,
                             f"poll_callback:{handle.name}", t0, self._cursor,
                             cause=handle.trace_eid, eid=eid)
-            self.rt.trace.count("pe.poll_detections")
+            self._counters["pe.poll_detections"] += 1
 
     def _drain_internal(self) -> None:
         """High-priority RTS messages: all pending ones run before the
         next application message (each still pays dispatch cost)."""
-        while self.internal_queue:
-            self._execute_message(self.internal_queue.pop(), len(self.internal_queue))
-
-    def _process_one_message(self) -> None:
-        if not self.queue:
-            return
-        self._execute_message(self.queue.pop(), len(self.queue))
+        iq = self.internal_queue
+        while iq._q:
+            self._execute_message(iq.pop(), len(iq._q))
 
     def _execute_message(self, msg: Message, remaining: int) -> None:
         charm = self.rt.machine.charm
@@ -289,12 +297,12 @@ class PE(Entity):
         tr = self.rt.tracer
         if tr is None:
             self.charge(cost)
-            self.rt.trace.count("pe.messages_executed")
+            self._counters["pe.messages_executed"] += 1
             self.rt._deliver(self, msg)
             return
         t0 = self._cursor
         self.charge(cost)
-        self.rt.trace.count("pe.messages_executed")
+        self._counters["pe.messages_executed"] += 1
         dispatch_eid = tr.span(
             self.rt._trace_run, self.rank, CAT_SCHED,
             f"dispatch:{msg.method}", t0, self._cursor,

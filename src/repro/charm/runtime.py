@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Type
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan, ProcFaultPlan, ReliabilityParams
     from .section import ArraySection
@@ -35,6 +37,9 @@ from .mapping import CustomMap, Mapping
 from .message import Message, Payload, payload_bytes, unwrap_args, wrap_args
 from .pe import PE
 from .reduction import CONTROL_BYTES, ReductionManager
+
+#: argument types that carry payload bytes (bare ndarrays auto-wrap).
+_BULK = (Payload, np.ndarray)
 
 
 class _PEAgent(Chare):
@@ -113,6 +118,9 @@ class Runtime:
         self.sim = make_simulator()
         self.trace = Trace(record_samples=record_samples,
                            now_fn=lambda: self.sim.now)
+        #: the trace's counter dict, bound once for the hot send path
+        #: (Trace keeps this object's identity across reset/restore).
+        self._counters = self.trace.counters
         #: timeline tracer (None = tracing off, the near-zero-cost
         #: default); falls back to the ambient tracer installed by the
         #: CLI's --trace-out / profile paths.
@@ -354,31 +362,29 @@ class Runtime:
         src = stack[-1] if stack else None
         if self.send_observer is not None and src is not None and not internal:
             self.send_observer(array, idx, method, args)
-        args = wrap_args(args)
-        nbytes = nbytes_override if nbytes_override is not None else payload_bytes(args)
+        nbytes = 0
+        unwrap = False
+        for a in args:
+            if isinstance(a, _BULK):
+                args, nbytes, unwrap = self._marshal_args(args, src)
+                break
+        if nbytes_override is not None:
+            nbytes = nbytes_override
         dst_rank = array._pe_by_index[idx]
-        charm = self.machine.charm
 
         if src is not None:
-            marshalled = []
-            for a in args:
-                if isinstance(a, Payload):
-                    if a.pack and a.nbytes:
-                        src.charge(charm.copy_base + a.nbytes * charm.copy_per_byte)
-                        self.trace.count("charm.pack_copies")
-                    a = a.marshalled()
-                marshalled.append(a)
-            src.charge(charm.send_overhead)
-            args = tuple(marshalled)
-            start = src.cursor
+            src.charge(self.machine.charm.send_overhead)
+            start = src._cursor  # == src.cursor: charge() demands _executing
             src_rank: Optional[int] = src.rank
         else:
             start = self.sim.now
             src_rank = None
 
-        msg = Message(array.id, idx, method, args, nbytes, src_rank, start, internal)
-        self.trace.count("charm.msgs_sent")
-        self.trace.count("charm.msg_bytes", nbytes)
+        msg = Message(array.id, idx, method, args, nbytes, src_rank, start,
+                      internal, unwrap)
+        counters = self._counters
+        counters["charm.msgs_sent"] += 1
+        counters["charm.msg_bytes"] += nbytes
         tr = self.tracer
         if tr is not None:
             msg.trace_eid = tr.instant(
@@ -406,7 +412,7 @@ class Runtime:
                         "must map to shard 0"
                     )
                 # Host injection or PE-local delivery: straight to queue.
-                self.sim.at(start, dst_pe.enqueue, msg)
+                self.sim.post(start, dst_pe.enqueue, msg)
         else:
             if self.fabric._engine:
                 # Describe the in-flight message so the engine can ship
@@ -415,6 +421,40 @@ class Runtime:
             self.fabric.charm_transport(
                 src_rank, dst_rank, nbytes, start, lambda: dst_pe.enqueue(msg)
             )
+
+    def _marshal_args(self, args: tuple, src: Optional[PE]) -> Tuple[tuple, int, bool]:
+        """Auto-wrap, marshal and byte-count ``args`` in one pass.
+
+        Only called when some argument is a :class:`Payload` or an
+        ndarray.  Bare ndarrays become packed auto payloads; from a PE
+        context every packed payload charges the sender's memcpy and is
+        snapshotted (:meth:`Payload.marshalled`).  Returns the wire
+        arguments, their payload bytes, and whether delivery must
+        unwrap auto payloads back to arrays.
+        """
+        charm = self.machine.charm
+        out = []
+        nbytes = 0
+        unwrap = False
+        for a in args:
+            if isinstance(a, Payload):
+                pass
+            elif isinstance(a, np.ndarray):
+                a = Payload(data=a, pack=True, auto=True)
+            else:
+                out.append(a)
+                continue
+            n = a.nbytes
+            nbytes += n
+            if a.auto:
+                unwrap = True
+            if src is not None and a.pack:  # unpacked payloads travel as-is
+                if n:
+                    src.charge(charm.copy_base + n * charm.copy_per_byte)
+                    self._counters["charm.pack_copies"] += 1
+                a = a.marshalled()
+            out.append(a)
+        return tuple(out), nbytes, unwrap
 
     def bcast(self, array, method: str, args: tuple = ()) -> None:
         """Invoke ``method`` on every member of an array *or section*
@@ -483,11 +523,15 @@ class Runtime:
             raise EntryMethodError(
                 f"{type(elem).__name__} has no entry method {msg.method!r}"
             )
-        self._enter_pe(pe)
+        stack = self._pe_stack
+        stack.append(pe)
         try:
-            entry(*unwrap_args(msg.args))
+            if msg.unwrap:
+                entry(*unwrap_args(msg.args))
+            else:
+                entry(*msg.args)
         finally:
-            self._exit_pe()
+            stack.pop()
 
     # ------------------------------------------------------------------
     # Reliability bookkeeping (no-ops unless built with a fault plan)

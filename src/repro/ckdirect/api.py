@@ -201,13 +201,14 @@ def put(handle: CkDirectHandle, issue_cost: Optional[float] = None) -> None:
             pe.cursor, cause=tr.current,
             args={"bytes": nbytes, "dst_pe": handle.recv_pe.rank},
         )
-    rt.trace.count("ckdirect.puts")
-    rt.trace.count("ckdirect.put_bytes", nbytes)
+    counters = rt._counters
+    counters["ckdirect.puts"] += 1
+    counters["ckdirect.put_bytes"] += nbytes
     src_rank, dst_rank = pe.rank, handle.recv_pe.rank
     if src_rank == dst_rank:
         # Same-PE channel: a local memcpy at shared-memory speed.
         delay = rt.machine.net.shm_alpha + nbytes * rt.machine.net.shm_beta
-        rt.sim.at(pe.cursor + delay, _complete, handle)
+        rt.sim.post(pe.cursor + delay, _complete, handle)
     elif rt.reliability is not None:
         _reliable_put(handle, pe.cursor)
     else:
@@ -238,8 +239,9 @@ def _remote_put(handle: CkDirectHandle, pe, issue_cost: Optional[float]) -> None
             pe.cursor, cause=tr.current,
             args={"bytes": nbytes, "dst_pe": handle.recv_pe.rank},
         )
-    rt.trace.count("ckdirect.puts")
-    rt.trace.count("ckdirect.put_bytes", nbytes)
+    counters = rt._counters
+    counters["ckdirect.puts"] += 1
+    counters["ckdirect.put_bytes"] += nbytes
     snap = handle.src_buffer.snapshot() if handle.src_buffer is not None else None
     rt.fabric._engine_desc = ("put", handle.hid, snap)
     rt.fabric.direct_put(

@@ -61,12 +61,9 @@ class MulticastChannel:
             raise CkDirectError(f"{self.name}: put_all with no receivers attached")
         rt = self.chare.rt
         issue = rt.machine.ckdirect.put_issue
-        # One schedule_batch admits the whole fan-out's delivery
-        # events (atomic and ordering-neutral on every eventq impl).
-        with rt.fabric.batch():
-            for i, handle in enumerate(self.handles):
-                api.put(
-                    handle,
-                    issue_cost=issue if i == 0 else issue * REPEAT_ISSUE_FACTOR,
-                )
+        for i, handle in enumerate(self.handles):
+            api.put(
+                handle,
+                issue_cost=issue if i == 0 else issue * REPEAT_ISSUE_FACTOR,
+            )
         rt.trace.count("ckdirect.multicasts")

@@ -38,9 +38,8 @@ transport services the upper layers consume:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from ..projections.events import CAT_NET, NET_TRACK
 from ..sim import Entity, Simulator, Trace
@@ -72,6 +71,8 @@ class Fabric(Entity):
         self.topology = topology
         self.machine = machine
         self.trace = trace if trace is not None else Trace()
+        #: the trace's counter dict, bound for the per-transfer counters.
+        self._counters = self.trace.counters
         #: timeline tracer + run id, attached by the owning runtime
         #: when Projections tracing is on (None = off, zero cost).
         self.tracer = None
@@ -79,8 +80,6 @@ class Fabric(Entity):
         n = topology.n_nodes
         self._tx_free = [0.0] * n
         self._rx_free = [0.0] * n
-        #: deferred (delivery, cb) pairs while inside a batch() block.
-        self._batch: Optional[List[Tuple[float, Callable[[], None]]]] = None
         # --- parallel-engine mode (see repro.sim.parallel) -------------
         #: False = legacy semantics (receiver ejection occupancy charged
         #: at *send* time in global send order).  True = engine
@@ -114,53 +113,6 @@ class Fabric(Entity):
         #: delivery resolver ``(dst_rank, desc) -> None`` installed by
         #: the runtime when engine mode is enabled.
         self._engine_deliver: Optional[Callable] = None
-
-    # ------------------------------------------------------------------
-    # Delivery scheduling (batchable)
-    # ------------------------------------------------------------------
-
-    def _schedule_delivery(self, delivery: float, cb: Callable[[], None]) -> None:
-        """Create the delivery event now, or defer it to the open batch."""
-        if self._batch is None:
-            self.sim.at(delivery, cb)
-        else:
-            self._batch.append((delivery, cb))
-
-    @contextmanager
-    def batch(self):
-        """Defer delivery-event creation for a burst of transfers.
-
-        Multi-put senders (multicast fan-out, a stencil chare's halo
-        puts, multi-packet sends) issue several transfers back to back
-        within one entry-method execution; this context collects their
-        delivery events and admits them with one
-        :meth:`~repro.sim.Simulator.schedule_batch` call on exit.
-
-        Delivery *times* and occupancy accounting are computed exactly
-        as in the unbatched path, at issue time.  Because no simulator
-        event can fire while the issuing handler is still executing,
-        and sequence numbers are assigned in issue order at flush,
-        event ordering is unchanged.  Nested use is a no-op (the
-        outermost batch flushes).
-
-        ``schedule_batch`` is part of the pluggable event-queue
-        surface (:mod:`repro.sim.eventq`): every implementation admits
-        the burst atomically with consecutive sequence numbers, so
-        batching is ordering-neutral under heap, calendar and
-        compiled queues alike.
-        """
-        if self._batch is not None:  # nested: defer to the outer batch
-            yield
-            return
-        self._batch = []
-        try:
-            yield
-        finally:
-            entries, self._batch = self._batch, None
-            if entries:
-                self.sim.schedule_batch(
-                    [(t, cb, ()) for t, cb in entries]
-                )
 
     # ------------------------------------------------------------------
     # Core primitive
@@ -217,23 +169,27 @@ class Fabric(Entity):
         dst_node = node_of(dst)
         if src_node == dst_node:
             delivery = start + pre + self._shm_alpha() + wire_bytes * self._shm_beta()
-            self.trace.count("net.shm_transfers")
+            self._counters["net.shm_transfers"] += 1
             if self.tracer is not None:
                 self.tracer.instant(
                     self.trace_run, NET_TRACK, CAT_NET, "shm_transfer", delivery,
                     args={"src": src, "dst": dst, "bytes": wire_bytes},
                 )
-            self._schedule_delivery(delivery, cb)
+            self.sim.post(delivery, cb)
             return delivery
 
         stream = wire_bytes * beta + lat_extra  # streaming (latency) part
         occ = wire_bytes * beta * self._occupancy_factor() + ser_extra
-        tx_start = max(start + pre, self._tx_free[src_node])
-        self._tx_free[src_node] = tx_start + occ
+        tx_free = self._tx_free
+        tx_start = start + pre
+        if tx_free[src_node] > tx_start:
+            tx_start = tx_free[src_node]
+        tx_free[src_node] = tx_start + occ
         head_arrival = (tx_start + alpha + self.topology.node_hops(src_node, dst_node)
                         * self._hop_latency())
-        self.trace.count("net.transfers")
-        self.trace.count("net.bytes", wire_bytes)
+        counters = self._counters
+        counters["net.transfers"] += 1
+        counters["net.bytes"] += wire_bytes
         if self._engine:
             # Engine semantics: the tx half (above) runs sender-side at
             # issue; the rx half is deferred until head arrival and
@@ -261,16 +217,17 @@ class Fabric(Entity):
                     )
                 self._outbox.append(rec)
             return head_arrival + stream
-        rx_start = max(head_arrival, self._rx_free[dst_node])
+        rx_free = self._rx_free
+        rx_start = rx_free[dst_node] if rx_free[dst_node] > head_arrival else head_arrival
         delivery = rx_start + stream
-        self._rx_free[dst_node] = rx_start + occ
+        rx_free[dst_node] = rx_start + occ
         if self.tracer is not None:
             self.tracer.instant(
                 self.trace_run, NET_TRACK, CAT_NET, "transfer", delivery,
                 args={"src": src, "dst": dst, "bytes": wire_bytes,
                       "injected": start, "latency": delivery - start},
             )
-        self._schedule_delivery(delivery, cb)
+        self.sim.post(delivery, cb)
         return delivery
 
     # ------------------------------------------------------------------
@@ -307,7 +264,7 @@ class Fabric(Entity):
         now = self.sim.now
         rx_free = self._rx_free
         node_of = self.topology.node_of
-        at = self.sim.at
+        post = self.sim.post
         tracer = self.tracer
         while recs and recs[0][0] <= now:
             ha, dst, src, _k, stream, occ, wire_bytes, payload = heappop(recs)[5]
@@ -321,9 +278,9 @@ class Fabric(Entity):
                     args={"src": src, "dst": dst, "bytes": wire_bytes},
                 )
             if isinstance(payload, tuple):
-                at(delivery, self._engine_deliver, dst, payload)
+                post(delivery, self._engine_deliver, dst, payload)
             else:
-                at(delivery, payload)
+                post(delivery, payload)
 
     def take_outbox(self) -> list:
         """Drain the cross-shard records buffered since the last epoch."""

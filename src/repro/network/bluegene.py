@@ -55,6 +55,8 @@ class BGPFabric(Fabric):
             )
         self._link_free: dict = {}
         self._link_contention = False
+        #: the machine's transport parameter block.
+        self.p: BGPParams = self.machine.net
 
     # ------------------------------------------------------------------
     # Optional per-link contention
@@ -114,16 +116,12 @@ class BGPFabric(Fabric):
         for l in links:
             self._link_free[l] = ready + occ
         delivery = ready + alpha + len(links) * self._hop_latency() + stream
-        self.trace.count("net.transfers")
-        self.trace.count("net.bytes", wire_bytes)
-        self.trace.count("bgp.link_routed")
-        self._schedule_delivery(delivery, cb)
+        counters = self._counters
+        counters["net.transfers"] += 1
+        counters["net.bytes"] += wire_bytes
+        counters["bgp.link_routed"] += 1
+        self.sim.post(delivery, cb)
         return delivery
-
-    @property
-    def p(self) -> BGPParams:
-        """The machine's transport parameter block."""
-        return self.machine.net
 
     def _hop_latency(self) -> float:
         return self.p.hop_latency
@@ -149,10 +147,10 @@ class BGPFabric(Fabric):
         wire = total_bytes + info_qwords * self.p.quad_word
         if self.is_short(total_bytes):
             alpha = self.p.alpha_short
-            self.trace.count("bgp.dcmf_short")
+            self._counters["bgp.dcmf_short"] += 1
         else:
             alpha = self.p.alpha
-            self.trace.count("bgp.dcmf_normal")
+            self._counters["bgp.dcmf_normal"] += 1
         return self.transfer(
             src, dst, wire, start,
             pre=self.p.issue_overhead, alpha=alpha, beta=self.p.beta, cb=cb,
@@ -175,7 +173,7 @@ class BGPFabric(Fabric):
     ) -> float:
         """Default Charm++ message: envelope rides the wire with the data."""
         total = payload_bytes + self.machine.charm.header_bytes
-        self.trace.count("bgp.charm_msg")
+        self._counters["bgp.charm_msg"] += 1
         return self.dcmf_send(src, dst, total, start, cb)
 
     def direct_put(
@@ -183,7 +181,7 @@ class BGPFabric(Fabric):
     ) -> float:
         """CkDirect put: a DCMF_Send of the bare payload plus the
         two-quad-word Info header carrying the DCMF context (§2.2)."""
-        self.trace.count("bgp.ckdirect_put")
+        self._counters["bgp.ckdirect_put"] += 1
         return self.dcmf_send(
             src, dst, nbytes, start, cb,
             info_qwords=self.p.info_qwords_ckdirect,

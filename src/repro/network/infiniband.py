@@ -36,6 +36,9 @@ from .params import IBParams
 
 PROTOCOLS = ("eager", "packet", "rendezvous")
 
+#: per-protocol message counter names.
+_PROTO_COUNTER = {proto: f"ib.charm.{proto}" for proto in PROTOCOLS}
+
 
 class InfinibandFabric(Fabric):
     """Fat-tree Infiniband cluster with RDMA."""
@@ -47,11 +50,8 @@ class InfinibandFabric(Fabric):
                 f"machine {self.machine.name!r} does not carry IBParams"
             )
         self._forced_protocol: Optional[str] = None
-
-    @property
-    def p(self) -> IBParams:
-        """The machine's transport parameter block."""
-        return self.machine.net
+        #: the machine's transport parameter block.
+        self.p: IBParams = self.machine.net
 
     def min_remote_latency(self) -> float:
         """Cross-node latency floor: the base alpha (``pre``, per-hop
@@ -88,7 +88,7 @@ class InfinibandFabric(Fabric):
         """Default Charm++ message transport (protocol chosen by size)."""
         total = payload_bytes + self.machine.charm.header_bytes
         proto = self.protocol_for(total)
-        self.trace.count(f"ib.charm.{proto}")
+        self._counters[_PROTO_COUNTER[proto]] += 1
         if proto == "eager":
             return self.transfer(
                 src, dst, total, start,
@@ -140,7 +140,7 @@ class InfinibandFabric(Fabric):
         pre-registered destination.  No header, no protocol handshake,
         no registration on the critical path; small writes pay the DMA
         ramp (see :class:`IBParams`)."""
-        self.trace.count("ib.rdma_put")
+        self._counters["ib.rdma_put"] += 1
         ramp = min(nbytes, self.p.rdma_ramp_cap) * self.p.rdma_ramp_per_byte
         return self.transfer(
             src, dst, nbytes, start,

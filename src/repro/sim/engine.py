@@ -24,18 +24,23 @@ A figure sweep fires tens of millions of events, so the constant cost
 per event is first-order for wall-clock time (see
 ``benchmarks/test_engine_micro.py``):
 
-* heap entries are plain ``(time, priority, seq, event)`` tuples —
-  sift comparisons are C tuple comparisons, never
-  :meth:`Event.__lt__` dispatch (``seq`` is unique, so the trailing
-  event object is never compared);
+* heap entries are plain tuples in one of two shapes — ``(time,
+  priority, seq, event)`` for a cancellable :class:`Event`
+  (:meth:`at`, :meth:`schedule`, :meth:`schedule_batch`) and ``(time,
+  0, seq, fn, args)`` for a *posted* callback (:meth:`post`), which
+  allocates no ``Event`` at all.  Sift comparisons are C tuple
+  comparisons, never :meth:`Event.__lt__` dispatch (``seq`` is unique,
+  so nothing after it is ever compared); the run loops tell the shapes
+  apart by length;
 * :meth:`run` binds the heap and ``heappop`` to locals and has a
-  dedicated no-``until``/no-``max_events`` loop (the common case) with
-  a no-kwargs callback fast path;
+  dedicated no-``until`` loop (run-to-completion and the chunked
+  ``max_events`` runs) with a no-kwargs callback fast path;
 * cancelled events are counted exactly (:attr:`pending_active`) and
   compacted *lazily*: the heap is rebuilt only when cancelled entries
   dominate it, so workloads that rarely cancel never pay for it;
-* :meth:`schedule_batch` admits a burst of callbacks in one call —
-  used by the fabric layer for multi-put/multi-packet send bursts.
+* :meth:`schedule_batch` admits a burst of cancellable callbacks in
+  one call; uncancellable hot-path callbacks (scheduler wake-ups,
+  local enqueues, fabric deliveries) use :meth:`post` instead.
 
 This class is also the *reference implementation* of the pluggable
 event-queue layer: :mod:`repro.sim.eventq` provides a calendar-queue
@@ -47,6 +52,7 @@ pop order bit-for-bit.  Construct through
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from .event import Event
@@ -111,6 +117,7 @@ class Simulator:
     @property
     def pending_active(self) -> int:
         """Number of *live* (non-cancelled) events still on the heap."""
+        # Posted entries cannot be cancelled, so the count stays exact.
         return len(self._heap) - self._cancelled_in_heap
 
     # ------------------------------------------------------------------
@@ -154,6 +161,24 @@ class Simulator:
         heapq.heappush(self._heap, (time, priority, seq, ev))
         return ev
 
+    def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at ``time`` with no way to cancel it.
+
+        The hot-path sibling of :meth:`at`: same validation, same
+        ``seq`` counter (so it interleaves with :meth:`at` exactly as
+        another :meth:`at` call would), priority 0, but no
+        :class:`Event` is built — the heap entry is the 5-tuple
+        ``(time, 0, seq, fn, args)``.  Returns nothing; use :meth:`at`
+        when the caller may need to cancel.
+        """
+        if not (time >= self._now):  # rejects past times and NaN
+            raise SimulationError(
+                f"cannot schedule in the past: t={time!r} < now={self._now!r}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, 0, seq, fn, args))
+
     def schedule_batch(
         self,
         entries: Iterable[Tuple[float, Callable[..., Any], tuple]],
@@ -167,8 +192,7 @@ class Simulator:
         bursts that rival the heap in size the whole heap is rebuilt
         with one O(n) ``heapify`` instead of k O(log n) sifts; either
         way the per-entry Python overhead (argument processing, kwargs
-        dict handling) of repeated :meth:`at` calls is skipped.  Used
-        by the fabrics for multi-put / multi-packet send bursts.
+        dict handling) of repeated :meth:`at` calls is skipped.
 
         A past (or NaN) time raises :class:`SimulationError` exactly as
         :meth:`at` does, and the rejection is atomic: neither the heap
@@ -226,7 +250,8 @@ class Simulator:
         here would strand those aliases on the stale list and the run
         loop would return with pending events.
         """
-        live = [entry for entry in self._heap if not entry[3]._cancelled]
+        live = [entry for entry in self._heap
+                if len(entry) == 5 or not entry[3]._cancelled]
         heapq.heapify(live)
         self._heap[:] = live
         self._cancelled_in_heap = 0
@@ -245,13 +270,13 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            ev = heap[0][3]
-            if ev._cancelled:
+            entry = heap[0]
+            if len(entry) == 4 and entry[3]._cancelled:
                 heapq.heappop(heap)
-                ev._popped = True
+                entry[3]._popped = True
                 self._cancelled_in_heap -= 1
                 continue
-            return heap[0][0]
+            return entry[0]
         return float("inf")
 
     def run_before(self, bound: float) -> None:
@@ -272,6 +297,14 @@ class Simulator:
         try:
             while heap:
                 entry = heap[0]
+                if len(entry) == 5:
+                    if entry[0] >= bound:
+                        return
+                    pop(heap)
+                    self._now = entry[0]
+                    fired += 1
+                    entry[3](*entry[4])
+                    continue
                 ev = entry[3]
                 if ev._cancelled:
                     pop(heap)
@@ -297,7 +330,14 @@ class Simulator:
         """Fire the single next event.  Returns False if the heap is empty."""
         heap = self._heap
         while heap:
-            ev = heapq.heappop(heap)[3]
+            entry = heapq.heappop(heap)
+            if len(entry) == 5:
+                time, _, _, fn, args = entry
+                self._now = time
+                self._events_processed += 1
+                fn(*args)
+                return True
+            ev = entry[3]
             ev._popped = True
             if ev._cancelled:
                 self._cancelled_in_heap -= 1
@@ -329,10 +369,19 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         try:
-            if until is None and max_events is None:
-                # Fast path: the common run-to-completion case.
-                while heap:
-                    time, _, _, ev = pop(heap)
+            if until is None:
+                # Fast path: run to completion, or for max_events fired
+                # events (the chunked runs perfbench makes).
+                limit = sys.maxsize if max_events is None else max_events
+                while heap and fired < limit:
+                    entry = pop(heap)
+                    if len(entry) == 5:
+                        time, _, _, fn, args = entry
+                        self._now = time
+                        fired += 1
+                        fn(*args)
+                        continue
+                    time, _, _, ev = entry
                     ev._popped = True
                     if ev._cancelled:
                         self._cancelled_in_heap -= 1
@@ -349,24 +398,28 @@ class Simulator:
                 if max_events is not None and fired >= max_events:
                     return
                 entry = heap[0]
-                ev = entry[3]
-                if ev._cancelled:
-                    pop(heap)
-                    ev._popped = True
-                    self._cancelled_in_heap -= 1
-                    continue
-                if until is not None and entry[0] > until:
+                if len(entry) == 4:
+                    ev = entry[3]
+                    if ev._cancelled:
+                        pop(heap)
+                        ev._popped = True
+                        self._cancelled_in_heap -= 1
+                        continue
+                if entry[0] > until:
                     self._now = until
                     return
                 pop(heap)
-                ev._popped = True
                 self._now = entry[0]
                 fired += 1
+                if len(entry) == 5:
+                    entry[3](*entry[4])
+                    continue
+                ev._popped = True
                 if ev.kwargs is None:
                     ev.fn(*ev.args)
                 else:
                     ev.fn(*ev.args, **ev.kwargs)
-            if until is not None and until > self._now:
+            if until > self._now:
                 self._now = until
         finally:
             self._events_processed += fired

@@ -35,6 +35,7 @@ else ``REPRO_EVENTQ``, else ``auto``.
 from __future__ import annotations
 
 import os
+import sys
 from bisect import insort
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -190,6 +191,15 @@ class CalendarSimulator(Simulator):
         else:
             self._top.append(entry)
         return ev
+
+    def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Uncancellable :meth:`at` (see :meth:`Simulator.post`).
+
+        The rungs hold only ``Event`` entries: a posted callback is
+        admitted through :meth:`at`, which draws the same ``seq`` and
+        so keeps the pop order identical to the heap's.
+        """
+        self.at(time, fn, *args)
 
     def schedule_batch(
         self,
@@ -406,15 +416,17 @@ class CalendarSimulator(Simulator):
         pos = self._pos
         trim = _TRIM_POS
         try:
-            if until is None and max_events is None:
-                # Fast path: the common run-to-completion case.  The
+            if until is None:
+                # Fast path: run to completion, or for max_events fired
+                # events (the chunked runs perfbench makes).  The
                 # refill is inlined (it runs every couple of events in
                 # chain-shaped workloads); rebinding _cur/_top and the
                 # local aliases in the same step keeps every pointer a
                 # callback can observe consistent.
+                limit = sys.maxsize if max_events is None else max_events
                 n = len(cur)
                 top = self._top
-                while True:
+                while fired < limit:
                     if pos >= n:
                         if not top:
                             del cur[:]
@@ -469,7 +481,7 @@ class CalendarSimulator(Simulator):
                         ev._popped = True
                         self._cancelled_in_heap -= 1
                         continue
-                    if until is not None and entry[0] > until:
+                    if entry[0] > until:
                         self._now = until
                         return
                     pos += 1
@@ -483,7 +495,7 @@ class CalendarSimulator(Simulator):
                         ev.fn(*ev.args, **ev.kwargs)
                     pos = self._pos
                     n = len(cur)
-                if until is not None and until > self._now:
+                if until > self._now:
                     self._now = until
         finally:
             self._pos = pos
@@ -506,14 +518,20 @@ class AutoSimulator(Simulator):
     is sticky (the instance *becomes* the chosen class), costs one
     ``sort`` of the already-heaped entries when the calendar is
     picked, and cannot affect results — both targets pop the same
-    ``(time, priority, seq)`` order.
+    ``(time, priority, seq)`` order.  Entries posted while heap-backed
+    become ``Event`` entries under their original ``seq`` when the
+    calendar is picked (its rungs hold ``Event`` entries only).
     """
 
     eventq_name = "auto"
 
     def _commit(self) -> None:
         if self.pending_active >= _AUTO_PENDING:
-            entries = self._heap
+            entries = [
+                e if len(e) == 4
+                else (e[0], e[1], e[2], Event(e[0], e[1], e[2], e[3], e[4], None, self))
+                for e in self._heap
+            ]
             entries.sort()
             self.__class__ = CalendarSimulator
             del self._heap
@@ -552,6 +570,10 @@ if _ceventq is not None:
 
         eventq_name = "calendar-c"
 
+        def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+            """Uncancellable :meth:`at` (see :meth:`Simulator.post`)."""
+            self.at(time, fn, *args)
+
         def drain(self, max_events: int = 50_000_000) -> None:
             """Run to completion, guarding against runaway event loops."""
             self.run(max_events=max_events)
@@ -576,7 +598,8 @@ def checkpoint_sim(sim: Any) -> tuple:
     The snapshot holds *references* to the pending :class:`Event`
     objects (their closures keep pointing at the live runtime — the
     optimistic engine restores application state in place, so those
-    references stay valid) plus a copy of each event's cancelled flag,
+    references stay valid) plus a copy of each event's cancelled flag
+    (posted entries carry no ``Event`` and are never cancelled),
     the clock, the scheduling sequence counter and the processed-event
     count.  Restoring and re-running therefore replays the exact
     ``(time, priority, seq)`` pop order of the original execution.
@@ -594,7 +617,7 @@ def checkpoint_sim(sim: Any) -> tuple:
         entries = sim._cur[sim._pos:] + sim._top
     else:  # Simulator / AutoSimulator: the heap list is the whole queue
         entries = list(sim._heap)
-    flags = [e[3]._cancelled for e in entries]
+    flags = [len(e) == 4 and e[3]._cancelled for e in entries]
     return (cls, sim._now, sim._seq, sim._events_processed, entries, flags)
 
 
@@ -605,9 +628,11 @@ def restore_sim(sim: Any, snap: tuple) -> None:
         sim.restore(now, seq, done, entries)
         return
     cls, now, seq, done, entries, flags = snap
-    for (_, _, _, ev), flag in zip(entries, flags):
-        ev._cancelled = flag
-        ev._popped = False
+    for entry, flag in zip(entries, flags):
+        if len(entry) == 4:
+            ev = entry[3]
+            ev._cancelled = flag
+            ev._popped = False
     sim.__class__ = cls
     sim._now = now
     sim._seq = seq

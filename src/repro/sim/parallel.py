@@ -5,7 +5,7 @@ owning a contiguous block of *nodes* (see
 :func:`repro.network.topology.shard_nodes`) and running its own
 simulator over the full replicated runtime.  The engine is
 event-queue-agnostic: it drives each shard only through the
-``next_event_time()`` / ``run_before(bound)`` / ``schedule_batch``
+``next_event_time()`` / ``run_before(bound)`` / ``at``/``post``
 surface, which every :mod:`repro.sim.eventq` implementation (heap,
 calendar, compiled) honors with the same ``(time, priority, seq)``
 pop order — so ``--eventq`` composes freely with ``--shards`` and the
@@ -204,7 +204,7 @@ def encode_record(rec: tuple) -> tuple:
         m = payload[1]
         payload = ("emsg", m.array_id, m.index, m.method,
                    _encode_args(m.args), m.nbytes, m.src_pe, m.send_time,
-                   m.is_internal)
+                   m.is_internal, m.unwrap)
     elif kind == "lput":
         raise ParallelEngineError(
             "a local-handle CkDirect put crossed shards; remote senders "
@@ -222,9 +222,9 @@ def deliver_remote(rt: "Runtime", dst_rank: int, desc: tuple) -> None:
         from ..charm.message import Message
 
         (_, array_id, index, method, enc_args, nbytes, src_pe,
-         send_time, is_internal) = desc
+         send_time, is_internal, unwrap) = desc
         msg = Message(array_id, index, method, _decode_args(rt, enc_args),
-                      nbytes, src_pe, send_time, is_internal)
+                      nbytes, src_pe, send_time, is_internal, unwrap)
         rt.pes[dst_rank].enqueue(msg)
     elif kind == "put":
         from ..ckdirect.api import _complete

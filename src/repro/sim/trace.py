@@ -115,6 +115,9 @@ class Trace:
     ) -> None:
         self.record_samples = record_samples
         self.now_fn = now_fn
+        #: Never rebound: hot paths (runtime, PEs, fabric) hold this
+        #: dict and increment it directly, so reset() and tw_restore()
+        #: clear and refill it in place.
         self.counters: dict[str, int] = defaultdict(int)
         self.stats: dict[str, RunningStats] = defaultdict(RunningStats)
         self.samples: dict[str, list[Sample]] = defaultdict(list)

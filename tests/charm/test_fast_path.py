@@ -210,3 +210,43 @@ def test_node_of_rejects_out_of_range_ranks(nodes, cores, beyond):
                 topo.node_of(bad)
             with pytest.raises(TopologyError):
                 topo.same_node(0, bad)
+
+
+@given(dims_st, st.data())
+@settings(max_examples=60, deadline=None)
+def test_non_integral_components_raise_mapping_error(dims, data):
+    """A fractional or non-numeric component is never truncated onto a
+    neighbouring element: every path raises MappingError."""
+    arr = _array(dims)
+    idx = [0] * len(dims)
+    axis = data.draw(st.integers(min_value=0, max_value=len(dims) - 1))
+    idx[axis] = data.draw(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).filter(
+            lambda f: not float(f).is_integer()),
+        st.text(min_size=1, max_size=3),
+        st.none(),
+    ))
+    for form in (tuple(idx), list(idx)):
+        with pytest.raises(MappingError):
+            arr.normalize_index(form)
+        with pytest.raises(MappingError):
+            arr.pe_of(form)
+        with pytest.raises(MappingError):
+            arr.proxy[form]
+        with pytest.raises(MappingError):
+            normalize(form)
+
+
+def test_fractional_and_string_indices_do_not_deliver():
+    rt = Runtime(ABE, n_pes=4)
+    arr = rt.create_array(Sink, dims=(3, 2))
+    for bad in [(1.5, 1), "ab", 1.5, "1", b"\x01", None, (np.float64(0.25), 0)]:
+        with pytest.raises(MappingError):
+            arr.proxy[bad].ping()
+        with pytest.raises(MappingError):
+            rt.send(arr, bad, "ping")
+    # integral floats and numpy ints still resolve to the plain-int index
+    assert arr.normalize_index((1.0, 1)) == (1, 1)
+    assert arr.normalize_index((np.int32(2), np.float32(0.0))) == (2, 0)
+    assert arr.proxy[(np.int64(1), 1.0)].index == (1, 1)
+    assert rt.sim.pending == 0  # nothing was sent by the bad indices

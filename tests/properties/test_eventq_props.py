@@ -9,6 +9,14 @@ mid-rung insort and in-place compaction paths live.  Rejection
 atomicity is part of the contract too: a failed batch must leave
 queue state (and the sequence counter, which feeds tie-breaking)
 untouched on every implementation.
+
+Posted (uncancellable, ``Event``-free) entries share the ``seq``
+counter with :meth:`~repro.sim.engine.Simulator.at`, so interleaving
+``post`` with ``at``/``schedule_batch``/``cancel`` must pop the same
+order everywhere, survive a ``checkpoint_sim``/``restore_sim`` round
+trip, survive the auto queue's commit to the calendar, and run the
+same whether drained in one ``run()`` or in ``run(max_events=k)``
+chunks.
 """
 
 import math
@@ -21,7 +29,9 @@ from repro.sim.eventq import (
     AutoSimulator,
     CalendarSimulator,
     CompiledSimulator,
+    checkpoint_sim,
     compiled_available,
+    restore_sim,
 )
 
 IMPLS = [CalendarSimulator, AutoSimulator]
@@ -158,3 +168,165 @@ def test_run_before_windows_match(prog):
     reference = windows(Simulator)
     for impl in IMPLS:
         assert windows(impl) == reference, impl.__name__
+
+
+# ---------------------------------------------------------------------------
+# post() interleaved with at() / schedule_batch() / cancel()
+# ---------------------------------------------------------------------------
+
+_delay = st.floats(min_value=0.0, max_value=2e-5, allow_nan=False)
+
+# ("post", delay) | ("at", delay, priority) | ("batch", [offsets], priority)
+# | ("cancel", index-into-created-events)
+_mixed_op = st.one_of(
+    st.tuples(st.just("post"), _delay),
+    st.tuples(st.just("at"), _delay, st.integers(min_value=-2, max_value=2)),
+    st.tuples(st.just("batch"), st.lists(_delay, min_size=1, max_size=5),
+              st.integers(min_value=-2, max_value=2)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
+)
+
+mixed_programs = st.lists(_mixed_op, min_size=1, max_size=40)
+
+#: Posted filler entries queued before the first run: enough to make
+#: AutoSimulator commit to the calendar, converting posted entries.
+_FILLER = 300
+
+
+class _Mixed:
+    """A program whose ops fire from driver callbacks, half of the
+    drivers posted and half scheduled with at()."""
+
+    def __init__(self, factory, prog, filler=0):
+        self.sim = sim = factory()
+        self.fired = []
+        self.created = []
+        for j in range(filler):
+            sim.post(j * 1e-7, self.fired.append, ("filler", j))
+        for i, op in enumerate(prog):
+            if i % 2:
+                sim.at(i * 3e-6, self.do, op)
+            else:
+                sim.post(i * 3e-6, self.do, op)
+
+    def leaf(self, i):
+        self.fired.append((self.sim.now, "leaf", i))
+
+    def do(self, op):
+        sim, created = self.sim, self.created
+        kind = op[0]
+        self.fired.append((sim.now, kind))
+        if kind == "post":
+            sim.post(sim.now + op[1], self.leaf, -len(self.fired))
+        elif kind == "at":
+            created.append(sim.at(sim.now + op[1], self.leaf, len(created),
+                                  priority=op[2]))
+        elif kind == "batch":
+            base = len(created)
+            created.extend(sim.schedule_batch(
+                [(sim.now + off, self.leaf, (base + j,))
+                 for j, off in enumerate(op[1])],
+                priority=op[2],
+            ))
+        elif created:
+            created[op[1] % len(created)].cancel()
+
+    def result(self):
+        sim = self.sim
+        return (self.fired, sim.events_processed, sim.now, sim.pending,
+                sim.pending_active)
+
+
+@given(mixed_programs, st.sampled_from([0, _FILLER]))
+@settings(max_examples=100, deadline=None)
+def test_post_interleavings_pop_identically(prog, filler):
+    def execute(factory):
+        m = _Mixed(factory, prog, filler)
+        m.sim.run()
+        return m.result()
+
+    reference = execute(Simulator)
+    for impl in IMPLS:
+        assert execute(impl) == reference, impl.__name__
+
+
+@given(mixed_programs, st.integers(min_value=1, max_value=25),
+       st.sampled_from([0, _FILLER]))
+@settings(max_examples=80, deadline=None)
+def test_chunked_run_matches_unchunked(prog, chunk, filler):
+    """run(max_events=k) repeated until a short chunk equals one run()."""
+    def unchunked(factory):
+        m = _Mixed(factory, prog, filler)
+        m.sim.run()
+        return m.result()
+
+    def chunked(factory):
+        m = _Mixed(factory, prog, filler)
+        sim = m.sim
+        while True:
+            before = sim.events_processed
+            sim.run(max_events=chunk)
+            fired = sim.events_processed - before
+            assert fired <= chunk
+            if fired < chunk:
+                break
+        return m.result()
+
+    reference = unchunked(Simulator)
+    for impl in [Simulator] + IMPLS:
+        assert chunked(impl) == reference, impl.__name__
+
+
+@given(mixed_programs, st.integers(min_value=0, max_value=30),
+       st.sampled_from([0, _FILLER]))
+@settings(max_examples=80, deadline=None)
+def test_checkpoint_restore_replays_posted_entries(prog, prefix, filler):
+    """A snapshot taken with posted entries queued replays the exact
+    remainder after restore_sim, on every implementation."""
+    def replay(factory):
+        m = _Mixed(factory, prog, filler)
+        sim = m.sim
+        sim.run(max_events=prefix)
+        snap = checkpoint_sim(sim)
+        mark, n_created = len(m.fired), len(m.created)
+        sim.run()
+        first = m.result()
+        tail = m.fired[mark:]
+        # roll back: queue state from the snapshot, program state by hand
+        restore_sim(sim, snap)
+        del m.fired[mark:]
+        del m.created[n_created:]
+        sim.run()
+        assert m.fired[mark:] == tail
+        assert m.result() == first
+        return first
+
+    reference = replay(Simulator)
+    for impl in IMPLS:
+        assert replay(impl) == reference, impl.__name__
+
+
+def test_post_rejects_past_and_nan_everywhere():
+    for impl in [Simulator] + IMPLS:
+        sim = impl()
+        sim.post(1e-6, lambda: None)
+        sim.run()
+        for bad in (0.5e-6, math.nan):
+            try:
+                sim.post(bad, lambda: None)
+                raise AssertionError(f"{impl.__name__} accepted t={bad!r}")
+            except SimulationError:
+                pass
+        assert sim.pending == 0 and sim.next_event_time() == float("inf")
+
+
+def test_post_returns_nothing_and_cannot_be_cancelled():
+    sim = Simulator()
+    fired = []
+    assert sim.post(1e-6, fired.append, "p") is None
+    ev = sim.at(1e-6, fired.append, "a")
+    ev.cancel()
+    assert sim.pending == 2 and sim.pending_active == 1
+    assert sim.next_event_time() == 1e-6
+    sim.run()
+    assert fired == ["p"]
